@@ -1,9 +1,9 @@
 //! Criterion bench for experiment E4: fault tolerant batches of k updates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pardfs_bench::workloads::{rng, workload, Family, Workload};
 use pardfs_core::FaultTolerantDfs;
 use pardfs_graph::updates::{random_update_sequence, UpdateMix};
+use pardfs_workload::{rng, workload, Family, Workload};
 
 fn bench_fault_tolerant(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_fault_tolerant");

@@ -1,8 +1,8 @@
 //! Criterion bench for experiment E2: thread-count scalability of one update.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pardfs_bench::workloads::{workload, Family, Workload};
 use pardfs_core::DynamicDfs;
+use pardfs_workload::{workload, Family, Workload};
 
 fn bench_scalability(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_scalability");

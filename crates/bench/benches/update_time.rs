@@ -2,10 +2,10 @@
 //! dynamic DFS vs the sequential baseline and full recomputation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pardfs_bench::workloads::{workload, Family, Workload};
 use pardfs_core::{DynamicDfs, Strategy};
 use pardfs_seq::static_dfs::static_dfs;
 use pardfs_seq::SeqRerootDfs;
+use pardfs_workload::{workload, Family, Workload};
 
 fn bench_update_time(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_update_time");

@@ -9,7 +9,6 @@
 
 use crate::driver::{drive, DriveSummary};
 use crate::table::{BenchRecord, Table};
-use crate::workloads::{edge_workload, rng, workload, Family, Workload};
 use pardfs::congest::network::diameter;
 use pardfs::core::FaultTolerantDfs;
 use pardfs::graph::updates::{random_update_sequence, UpdateKind, UpdateMix};
@@ -22,6 +21,7 @@ use pardfs::{
     Backend, CheckpointPolicy, ConcurrentOutcome, ConcurrentScenarioRunner, DfsMaintainer,
     DurabilityConfig, IndexPolicy, MaintainerBuilder, RebuildPolicy, Scenario, Strategy,
 };
+use pardfs_workload::{edge_workload, rng, workload, Family, Workload};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -1061,157 +1061,24 @@ pub fn e14_durability_overhead(scale: Scale) -> Table {
     t
 }
 
-/// E15 — checkpoint codec: the legacy line-oriented text format versus the
-/// `pardfs-snap v1` binary container, per backend, on the state a
-/// merge-split-storm trace leaves behind. For each codec the benchmark
-/// measures the full durability round trip the WAL performs — render +
-/// write + `sync_all` on the way down, read + parse (framing checks,
-/// representation validation, fingerprint verification and the index
-/// rebuild) on the way up — plus the on-disk checkpoint size. Both codecs
-/// pay the same index rebuild, so the ratio isolates the serialization
-/// itself: token scanning versus flat little-endian arrays.
-///
-/// Records stamp `disk_bytes` (checkpoint file size) and `adjacency_words`
-/// (the arena memory accountant at capture time) so codec and footprint
-/// regressions surface in the same gate.
-pub fn e15_snapshot_codec(scale: Scale) -> Table {
-    use std::io::Write as _;
-    let sizes: Vec<usize> = match scale {
-        Scale::Tiny => vec![64],
-        Scale::Quick => vec![192],
-        Scale::Full => vec![1024, 4096],
-    };
-    let mut t = Table::new(
-        "E15: checkpoint codec — text vs pardfs-snap v1 binary, write + recover round trip",
-        &[
-            "backend",
-            "codec",
-            "n",
-            "m",
-            "adj words",
-            "write ms",
-            "recover ms",
-            "total ms",
-            "vs text",
-            "disk KiB",
-        ],
-    );
-    t.id = "E15".into();
-    for &n in &sizes {
-        let trace = Scenario::MergeSplitStorm.record(n, 0xE15);
-        let batches: Vec<Vec<pardfs::Update>> = trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
-            .filter_map(|b| match b {
-                TraceBatch::Updates(u) => Some(u.clone()),
-                TraceBatch::Queries(_) => None,
-            })
-            .collect();
-        let updates_total: usize = batches.iter().map(|b| b.len()).sum();
-        for backend in Backend::all_default() {
-            let builder = MaintainerBuilder::new(backend);
-            let mut server = builder.serve_single(&trace.initial_graph());
-            let writer = server.write_handle();
-            for batch in &batches {
-                writer.submit(batch.clone());
-                server.commit().expect("queued batch commits");
-            }
-            let epoch = server.read_handle().epoch();
-            let ckpt = pardfs::wal::Checkpoint::capture(epoch, server.maintainer());
-            let backend_name = server.maintainer().backend_name();
-            let words = ckpt.graph.adjacency_words();
-            let dir = std::env::temp_dir().join(format!(
-                "pardfs-bench-e15-{}-{backend_name}-{n}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("scratch dir");
-            let mut text_total_us = f64::NAN;
-            for codec in ["text", "binary"] {
-                let path = dir.join(format!("checkpoint.{codec}"));
-                let body: Vec<u8> = match codec {
-                    "text" => ckpt.render().into_bytes(),
-                    _ => ckpt.render_binary(),
-                };
-                // Best of two round trips (fsync and page-cache jitter).
-                let (write_us, recover_us, disk) = (0..2)
-                    .map(|_| {
-                        let write_us = micros(|| {
-                            let rendered: Vec<u8> = match codec {
-                                "text" => ckpt.render().into_bytes(),
-                                _ => ckpt.render_binary(),
-                            };
-                            let mut f =
-                                std::fs::File::create(&path).expect("checkpoint file creates");
-                            f.write_all(&rendered)
-                                .and_then(|()| f.sync_all())
-                                .expect("checkpoint file writes");
-                        });
-                        let disk = std::fs::metadata(&path).expect("written file").len();
-                        assert_eq!(disk as usize, body.len());
-                        let recover_us = micros(|| {
-                            let bytes = std::fs::read(&path).expect("checkpoint file reads");
-                            let loaded = pardfs::wal::Checkpoint::parse_any(&bytes)
-                                .expect("own checkpoint parses");
-                            assert_eq!(
-                                loaded.fingerprint, ckpt.fingerprint,
-                                "{backend_name}/{codec}: recovered tree diverged"
-                            );
-                        });
-                        (write_us, recover_us, disk)
-                    })
-                    .min_by(|a, b| (a.0 + a.1).total_cmp(&(b.0 + b.1)))
-                    .expect("two runs recorded");
-                let total_us = write_us + recover_us;
-                if codec == "text" {
-                    text_total_us = total_us;
-                }
-                t.records.push(BenchRecord {
-                    n: trace.n,
-                    m: trace.m(),
-                    backend: backend_name.into(),
-                    policy: codec.into(),
-                    ns_per_update: total_us * 1e3 / updates_total.max(1) as f64,
-                    disk_bytes: Some(disk),
-                    adjacency_words: Some(words),
-                    ..BenchRecord::stamped()
-                });
-                t.push_row(vec![
-                    backend_name.into(),
-                    codec.into(),
-                    trace.n.to_string(),
-                    trace.m().to_string(),
-                    words.to_string(),
-                    format!("{:.3}", write_us / 1e3),
-                    format!("{:.3}", recover_us / 1e3),
-                    format!("{:.3}", total_us / 1e3),
-                    format!("{:.2}x", text_total_us / total_us.max(f64::MIN_POSITIVE)),
-                    format!("{:.1}", disk as f64 / 1024.0),
-                ]);
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-    t
-}
-
 /// E16 — snapshot open latency: how long until a cold reader answers its
-/// *first* query off a checkpoint file? The v1 path pays the full
-/// materializing parse — copy every array out of the buffer, rebuild the
-/// adjacency arena, rebuild the whole `TreeIndex` (Euler tour, RMQ, binary
-/// lifting — `O(n log n)`) — before it can answer anything. The v2 path
+/// *first* query off a checkpoint file? Both paths open the same bytes. The
+/// `v2-parse` path pays the full materializing [`pardfs::wal::Checkpoint::parse`]
+/// — copy every array out of the buffer, rebuild the adjacency arena,
+/// rebuild the whole `TreeIndex` (Euler tour, RMQ, binary lifting —
+/// `O(n log n)`) — before it can answer anything. The `v2-mapped-open` path
 /// opens the file with [`pardfs::MappedSnapshot`], validates the container
 /// **once** through [`pardfs::CheckpointView`] (checksum, framing, the same
 /// structural validation the parser runs), and then answers straight off
 /// the mapped bytes with zero array bytes copied. Both variants end with
 /// the same pair of first queries (a tree parent probe and a neighbourhood
-/// scan), so the ratio isolates open-to-first-answer latency — the metric
-/// that matters for the publish/open_mapped cross-process serving path.
-/// The state opened is what a deep-path-reroot trace leaves behind (the
-/// paper's adversarial regime: long paths, sparse adjacency) — the regime
-/// where checkpoints are taken most often, and where the `O(n log n)` index
-/// rebuild the v1 path cannot skip is largest relative to `m`.
+/// scan), so the ratio isolates copy-vs-borrow open-to-first-answer latency
+/// — the metric that matters for the publish/open_mapped cross-process
+/// serving path. The state opened is what a deep-path-reroot trace leaves
+/// behind (the paper's adversarial regime: long paths, sparse adjacency) —
+/// the regime where checkpoints are taken most often, and where the
+/// `O(n log n)` index rebuild the copying path cannot skip is largest
+/// relative to `m`.
 ///
 /// Records stamp the open-to-first-query latency in `ns_per_update` (there
 /// is no update stream here; the name is the shared JSON field) and the
@@ -1224,9 +1091,9 @@ pub fn e16_mapped_open(scale: Scale) -> Table {
         Scale::Full => vec![1024, 4096],
     };
     let mut t = Table::new(
-        "E16: snapshot open latency — v1 full parse vs v2 mapped zero-copy view, to first query",
+        "E16: snapshot open latency — full parse vs mapped zero-copy view, to first query",
         &[
-            "backend", "path", "n", "m", "open ms", "vs v1", "mapped", "disk KiB",
+            "backend", "path", "n", "m", "open ms", "vs parse", "mapped", "disk KiB",
         ],
     );
     t.id = "E16".into();
@@ -1261,13 +1128,10 @@ pub fn e16_mapped_open(scale: Scale) -> Table {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).expect("scratch dir");
-            let mut v1_us = f64::NAN;
-            for path_kind in ["v1-parse", "v2-mapped-open"] {
+            let body = ckpt.render_binary();
+            let mut parse_us = f64::NAN;
+            for path_kind in ["v2-parse", "v2-mapped-open"] {
                 let file = dir.join(format!("checkpoint.{path_kind}"));
-                let body = match path_kind {
-                    "v1-parse" => ckpt.render_binary_v1(),
-                    _ => ckpt.render_binary(),
-                };
                 let mut f = std::fs::File::create(&file).expect("checkpoint file creates");
                 f.write_all(&body)
                     .and_then(|()| f.sync_all())
@@ -1280,10 +1144,10 @@ pub fn e16_mapped_open(scale: Scale) -> Table {
                 let open_us = (0..8)
                     .map(|_| {
                         micros(|| match path_kind {
-                            "v1-parse" => {
+                            "v2-parse" => {
                                 let bytes = std::fs::read(&file).expect("checkpoint reads");
-                                let loaded = pardfs::wal::Checkpoint::parse_any(&bytes)
-                                    .expect("own v1 checkpoint parses");
+                                let loaded = pardfs::wal::Checkpoint::parse(&bytes)
+                                    .expect("own checkpoint parses");
                                 assert_eq!(loaded.tree.parent(probe), expected_parent);
                                 assert_eq!(loaded.graph.neighbors(0).len(), expected_deg);
                             }
@@ -1292,7 +1156,7 @@ pub fn e16_mapped_open(scale: Scale) -> Table {
                                     pardfs::MappedSnapshot::open(&file).expect("checkpoint maps");
                                 mapped = map.is_mapped();
                                 let view = pardfs::CheckpointView::parse(map.bytes())
-                                    .expect("own v2 checkpoint validates");
+                                    .expect("own checkpoint validates");
                                 assert_eq!(view.tree().parent(probe), expected_parent);
                                 assert_eq!(view.graph().neighbours(0).len(), expected_deg);
                             }
@@ -1300,8 +1164,8 @@ pub fn e16_mapped_open(scale: Scale) -> Table {
                     })
                     .min_by(f64::total_cmp)
                     .expect("two runs recorded");
-                if path_kind == "v1-parse" {
-                    v1_us = open_us;
+                if path_kind == "v2-parse" {
+                    parse_us = open_us;
                 }
                 let disk = std::fs::metadata(&file).expect("written file").len();
                 t.records.push(BenchRecord {
@@ -1319,8 +1183,8 @@ pub fn e16_mapped_open(scale: Scale) -> Table {
                     trace.n.to_string(),
                     trace.m().to_string(),
                     format!("{:.3}", open_us / 1e3),
-                    format!("{:.2}x", v1_us / open_us.max(f64::MIN_POSITIVE)),
-                    if path_kind == "v1-parse" {
+                    format!("{:.2}x", parse_us / open_us.max(f64::MIN_POSITIVE)),
+                    if path_kind == "v2-parse" {
                         "-".into()
                     } else {
                         mapped.to_string()
@@ -1571,7 +1435,6 @@ pub fn all_experiments(scale: Scale) -> Vec<Table> {
         e12_scenarios(scale),
         e13_serving_throughput(scale),
         e14_durability_overhead(scale),
-        e15_snapshot_codec(scale),
         e16_mapped_open(scale),
         e17_write_amplification(scale),
     ]
@@ -1751,9 +1614,9 @@ mod tests {
     fn mapped_open_measures_both_paths_per_backend() {
         let t = e16_mapped_open(Scale::Tiny);
         assert_eq!(t.id, "E16");
-        assert_eq!(t.rows.len(), 5 * 2, "5 backends × {{v1 parse, v2 mapped}}");
+        assert_eq!(t.rows.len(), 5 * 2, "5 backends × {{parse, mapped open}}");
         assert_eq!(t.records.len(), 5 * 2);
-        for path in ["v1-parse", "v2-mapped-open"] {
+        for path in ["v2-parse", "v2-mapped-open"] {
             assert_eq!(
                 t.records.iter().filter(|r| r.policy == path).count(),
                 5,

@@ -23,18 +23,13 @@ pub struct BenchRecord {
     /// (E13), where throughput rather than latency is the headline metric.
     pub queries_per_sec: Option<f64>,
     /// On-disk footprint of the durability directory in bytes — present for
-    /// the checkpoint/codec experiments (E14, E15).
+    /// the checkpoint experiments (E14, E16).
     pub disk_bytes: Option<u64>,
     /// Mean updates *applied per shard* — present for the sharded serving
     /// experiments (E17), where write amplification is the headline:
     /// replicated routing pins this to the full update count per shard,
     /// partitioned routing drops it towards `total / k`.
     pub updates_per_shard: Option<f64>,
-    /// [`pardfs_graph::Graph::adjacency_words`] of the workload graph at
-    /// measurement time — the streaming memory accountant, stamped by the
-    /// codec experiment (E15) so footprint regressions show up next to the
-    /// timing ones.
-    pub adjacency_words: Option<usize>,
     /// Logical cores of the host that recorded the row. The bench gate
     /// compares this against the committed baseline's stamp and downgrades
     /// timing differences to an explicit advisory when they differ — the
@@ -66,7 +61,6 @@ impl BenchRecord {
             queries_per_sec: None,
             disk_bytes: None,
             updates_per_shard: None,
-            adjacency_words: None,
             host_cores: host_cores(),
         }
     }
@@ -88,12 +82,8 @@ impl BenchRecord {
             Some(v) => format!(", \"updates_per_shard\": {v:.1}"),
             None => String::new(),
         };
-        let words = match self.adjacency_words {
-            Some(v) => format!(", \"adjacency_words\": {v}"),
-            None => String::new(),
-        };
         format!(
-            "{{\"n\": {}, \"m\": {}, \"backend\": {}, \"policy\": {}, \"ns_per_update\": {:.1}{}{}{}{}{}, \"host_cores\": {}}}",
+            "{{\"n\": {}, \"m\": {}, \"backend\": {}, \"policy\": {}, \"ns_per_update\": {:.1}{}{}{}{}, \"host_cores\": {}}}",
             self.n,
             self.m,
             json_string(&self.backend),
@@ -103,7 +93,6 @@ impl BenchRecord {
             qps,
             disk,
             shard,
-            words,
             self.host_cores
         )
     }
@@ -244,7 +233,6 @@ mod tests {
             queries_per_sec: Some(50000.5),
             disk_bytes: Some(8192),
             updates_per_shard: Some(21.5),
-            adjacency_words: Some(4096),
             ..BenchRecord::stamped()
         });
         let json = t.records_json().unwrap();
@@ -256,7 +244,6 @@ mod tests {
         assert!(json.contains("\"queries_per_sec\": 50000.5"));
         assert!(json.contains("\"disk_bytes\": 8192"));
         assert!(json.contains("\"updates_per_shard\": 21.5"));
-        assert!(json.contains("\"adjacency_words\": 4096"));
         assert!(json.contains(&format!("\"host_cores\": {}", host_cores())));
         assert!(json.trim_end().ends_with(']'));
     }

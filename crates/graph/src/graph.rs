@@ -191,8 +191,8 @@ pub(crate) fn validate_flat_adjacency(
 /// same edges but different adjacency order are **not** equal, which is
 /// deliberate — adjacency order determines DFS tree shape, so order-exact
 /// equality is the property snapshot round-trips
-/// ([`Graph::render_snapshot`] / [`Graph::parse_snapshot`], and their binary
-/// counterparts) must preserve. Where the blocks sit in the pool is a
+/// ([`Graph::render_snapshot_binary`] / [`Graph::parse_snapshot_binary`])
+/// must preserve. Where the blocks sit in the pool is a
 /// transient artefact of update history and is deliberately excluded.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
@@ -426,125 +426,9 @@ impl Graph {
         }
     }
 
-    /// Render the graph's exact representation as a line-delimited snapshot:
-    ///
-    /// ```text
-    /// graph <capacity> <num_edges>
-    /// adj <v> <n1> <n2> ...     (one line per ACTIVE vertex, ascending v)
-    /// graph-end
-    /// ```
-    ///
-    /// Neighbours appear in **stored adjacency order**, not sorted — a DFS
-    /// tree's shape depends on that order, so a checkpoint that canonicalised
-    /// it would recover a *different* tree than the one that crashed.
-    /// Inactive slots (deleted / never-inserted ids) have no `adj` line;
-    /// [`Graph::parse_snapshot`] reconstructs the activity flags from the
-    /// line set. `parse_snapshot(render_snapshot(g)) == g` exactly
-    /// (representation equality, see the `PartialEq` note on [`Graph`]).
-    pub fn render_snapshot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "graph {} {}", self.capacity(), self.num_edges);
-        for v in self.vertices() {
-            let _ = write!(out, "adj {v}");
-            for &u in self.neighbors(v) {
-                let _ = write!(out, " {u}");
-            }
-            out.push('\n');
-        }
-        out.push_str("graph-end\n");
-        out
-    }
-
-    /// Parse a snapshot produced by [`Graph::render_snapshot`], validating
-    /// the representation invariants (symmetric adjacency, no self loops or
-    /// duplicates, active endpoints, consistent edge count) so a corrupted
-    /// checkpoint is rejected with a description instead of reconstructing a
-    /// graph the maintainers would silently misbehave on.
-    pub fn parse_snapshot(text: &str) -> Result<Graph, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty graph snapshot")?;
-        let rest = header
-            .strip_prefix("graph ")
-            .ok_or_else(|| format!("expected `graph <capacity> <edges>`, got `{header}`"))?;
-        let (cap_tok, edges_tok) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("expected `graph <capacity> <edges>`, got `{header}`"))?;
-        let capacity: usize = cap_tok
-            .parse()
-            .map_err(|_| format!("bad graph capacity `{cap_tok}`"))?;
-        let claimed_edges: usize = edges_tok
-            .parse()
-            .map_err(|_| format!("bad graph edge count `{edges_tok}`"))?;
-
-        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); capacity];
-        let mut active = vec![false; capacity];
-        let mut last_v: Option<Vertex> = None;
-        loop {
-            let line = lines
-                .next()
-                .ok_or("graph snapshot truncated (missing `graph-end`)")?;
-            if line == "graph-end" {
-                break;
-            }
-            let rest = line
-                .strip_prefix("adj ")
-                .ok_or_else(|| format!("expected `adj <v> ...` or `graph-end`, got `{line}`"))?;
-            let mut it = rest.split(' ');
-            let v: Vertex = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad vertex id in `{line}`"))?;
-            if (v as usize) >= capacity {
-                return Err(format!("adjacency vertex {v} outside capacity {capacity}"));
-            }
-            if last_v.is_some_and(|p| p >= v) {
-                return Err(format!("adjacency lines out of order at vertex {v}"));
-            }
-            last_v = Some(v);
-            active[v as usize] = true;
-            for t in it {
-                let u: Vertex = t
-                    .parse()
-                    .map_err(|_| format!("bad neighbour id `{t}` of vertex {v}"))?;
-                if (u as usize) >= capacity {
-                    return Err(format!("neighbour {u} of vertex {v} outside capacity"));
-                }
-                if u == v {
-                    return Err(format!("self loop on vertex {v}"));
-                }
-                if adj[v as usize].contains(&u) {
-                    return Err(format!("duplicate neighbour {u} of vertex {v}"));
-                }
-                adj[v as usize].push(u);
-            }
-        }
-        if lines.any(|l| !l.is_empty()) {
-            return Err("trailing content after `graph-end`".to_string());
-        }
-        Self::from_validated_lists(adj, active, claimed_edges)
-    }
-
-    /// Shared tail of both snapshot parsers: check symmetry, endpoint
-    /// activity and the claimed edge count, then pack the lists into the
-    /// arena representation.
-    fn from_validated_lists(
-        adj: Vec<Vec<Vertex>>,
-        active: Vec<bool>,
-        claimed_edges: usize,
-    ) -> Result<Graph, String> {
-        let degrees: Vec<usize> = adj.iter().map(Vec::len).collect();
-        let flat: Vec<Vertex> = adj.into_iter().flatten().collect();
-        Self::from_validated_flat(degrees, flat, active, claimed_edges)
-    }
-
     /// Validate a flat adjacency encoding (per-slot degrees plus the
-    /// concatenated neighbour runs) and pack it into a graph. Symmetry and
-    /// duplicate detection run on a sorted directed-edge key array —
-    /// `O(E log E)` instead of a `contains` scan per edge, which degenerates
-    /// to `O(E·deg)` on the hub vertices adversarial workloads produce.
-    /// Endpoint activity and the claimed edge count are checked here too, so
-    /// text and binary parsers reject exactly the same inputs.
+    /// concatenated neighbour runs) with [`validate_flat_adjacency`] and pack
+    /// it into a graph.
     fn from_validated_flat(
         degrees: Vec<usize>,
         flat: Vec<Vertex>,
@@ -563,7 +447,7 @@ impl Graph {
 
     /// Build a graph directly from per-vertex adjacency lists **in stored
     /// order** plus an activity mask, validating the encoding exactly like
-    /// the snapshot parsers (symmetry, no duplicates/self-loops, inactive
+    /// the snapshot parser (symmetry, no duplicates/self-loops, inactive
     /// slots empty and unreferenced).
     ///
     /// Adjacency order is part of a graph's identity here — DFS tree shape
@@ -628,7 +512,7 @@ impl Graph {
         }
     }
 
-    /// Write the graph's `pardfs-snap v1` sections into an open container
+    /// Write the graph's `pardfs-snap` sections into an open container
     /// (used by the standalone [`Graph::render_snapshot_binary`] and by the
     /// WAL's composite checkpoint container):
     ///
@@ -636,8 +520,8 @@ impl Graph {
     /// * `GACT` — activity bitmap (capacity bits packed into `u64` words),
     /// * `GDEG` — per-slot degree (`u32` per slot),
     /// * `GADJ` — the adjacency lists concatenated in ascending vertex order,
-    ///   **in stored order** (the same order-exactness contract as the text
-    ///   codec — DFS tree shape depends on it).
+    ///   **in stored order** (DFS tree shape depends on it, so a checkpoint
+    ///   that canonicalised it would recover a *different* tree).
     ///
     /// Sections are emitted from logical state only (the arena's free blocks
     /// and slack never leak into the file), so rendering is canonical:
@@ -669,8 +553,10 @@ impl Graph {
 
     /// Read the graph sections written by [`Graph::write_snap_sections`] out
     /// of a verified container, applying the **same** representation
-    /// validation as the text parser (activity of endpoints, self loops,
+    /// validation as [`crate::GraphView`] (activity of endpoints, self loops,
     /// duplicates, symmetry, edge count) before constructing the graph.
+    /// Section lengths are checked against the header's capacity before
+    /// anything is allocated, so a lying header cannot size an allocation.
     pub fn read_snap_sections(r: &SnapReader<'_>) -> Result<Graph, String> {
         let mut hdr = Cursor::new(SEC_GRAPH_HEADER, r.section(SEC_GRAPH_HEADER)?);
         let capacity = usize::try_from(hdr.u64()?).map_err(|_| "graph capacity overflows")?;
@@ -678,7 +564,14 @@ impl Graph {
             usize::try_from(hdr.u64()?).map_err(|_| "graph edge count overflows")?;
         hdr.finish()?;
 
-        let mut act = Cursor::new(SEC_GRAPH_ACTIVE, r.section(SEC_GRAPH_ACTIVE)?);
+        let act_bytes = r.section(SEC_GRAPH_ACTIVE)?;
+        if act_bytes.len() != capacity.div_ceil(64) * 8 {
+            return Err(format!(
+                "activity bitmap is {} bytes for capacity {capacity}",
+                act_bytes.len()
+            ));
+        }
+        let mut act = Cursor::new(SEC_GRAPH_ACTIVE, act_bytes);
         let mut active = Vec::with_capacity(capacity);
         while active.len() < capacity {
             let word = act.u64()?;
@@ -701,10 +594,8 @@ impl Graph {
         deg.finish()?;
 
         // The adjacency payload is already the flat representation we store:
-        // validate it in place (one contiguous pass per check) and bulk-load
-        // the arena, instead of reconstructing per-vertex `Vec`s only to
-        // flatten them again. Per-vertex runs are located by a prefix-sum
-        // offset table over the degrees — a transient CSR view of the file.
+        // validate it in place and bulk-load the arena, instead of
+        // reconstructing per-vertex `Vec`s only to flatten them again.
         let mut adj_cur = Cursor::new(SEC_GRAPH_ADJACENCY, r.section(SEC_GRAPH_ADJACENCY)?);
         let total: usize = degrees.iter().sum();
         let flat: Vec<Vertex> = adj_cur.u32s(total)?;
@@ -712,22 +603,14 @@ impl Graph {
         Self::from_validated_flat(degrees, flat, active, claimed_edges)
     }
 
-    /// Render the graph as a standalone `pardfs-snap v1` binary snapshot —
-    /// the flat-array serialization of the arena representation. See
-    /// [`Graph::write_snap_sections`] for the section layout and the
-    /// byte-stability guarantee; [`crate::snap`] documents the framing.
+    /// Render the graph as a standalone `pardfs-snap` binary snapshot — the
+    /// flat-array serialization of the arena representation, with the array
+    /// payloads 8-byte aligned so [`crate::GraphView`] can serve queries
+    /// straight off the (mapped) bytes. See [`Graph::write_snap_sections`]
+    /// for the section layout and the byte-stability guarantee;
+    /// [`crate::snap`] documents the framing.
     pub fn render_snapshot_binary(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        self.write_snap_sections(&mut w);
-        w.finish()
-    }
-
-    /// Render the graph as a standalone `pardfs-snap` **v2** binary snapshot:
-    /// same sections as [`Graph::render_snapshot_binary`], but with the
-    /// array payloads 8-byte aligned so [`crate::GraphView`] can serve
-    /// queries straight off the (mapped) bytes without materializing.
-    pub fn render_snapshot_binary_v2(&self) -> Vec<u8> {
-        let mut w = SnapWriter::v2();
         self.write_snap_sections(&mut w);
         w.finish()
     }
@@ -735,7 +618,7 @@ impl Graph {
     /// Parse a binary snapshot produced by [`Graph::render_snapshot_binary`].
     /// Framing damage (bad magic, checksum mismatch, truncated or escaping
     /// sections) and representation violations are both rejected with a
-    /// description, exactly like [`Graph::parse_snapshot`].
+    /// description.
     pub fn parse_snapshot_binary(bytes: &[u8]) -> Result<Graph, String> {
         let r = SnapReader::parse(bytes)?;
         Self::read_snap_sections(&r)
@@ -839,32 +722,66 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_exact_representation() {
-        let g = history_dependent_graph();
-        let text = g.render_snapshot();
-        let back = Graph::parse_snapshot(&text).expect("own snapshot parses");
-        assert_eq!(back, g, "representation equality, not just edge-set");
-        assert_eq!(back.render_snapshot(), text, "byte-stable round trip");
-        assert!(!back.is_active(3));
-        assert_eq!(back.neighbors(0), g.neighbors(0), "adjacency order kept");
-    }
-
-    #[test]
     fn binary_snapshot_round_trip_is_byte_stable() {
         let g = history_dependent_graph();
         let bytes = g.render_snapshot_binary();
         let back = Graph::parse_snapshot_binary(&bytes).expect("own binary snapshot parses");
-        assert_eq!(back, g, "representation equality through the binary codec");
+        assert_eq!(back, g, "representation equality, not just edge-set");
         assert_eq!(back.neighbors(0), g.neighbors(0), "adjacency order kept");
-        assert!(!back.is_active(3));
+        assert!(!back.is_active(3), "hole preserved");
         assert_eq!(
             back.render_snapshot_binary(),
             bytes,
             "parse(render(g)) is byte-stable"
         );
-        // Cross-codec equivalence: text and binary loads agree exactly.
-        let via_text = Graph::parse_snapshot(&g.render_snapshot()).unwrap();
-        assert_eq!(via_text, back);
+    }
+
+    /// Assert that the materializing parser **and** the borrowed view both
+    /// reject `bytes`, each with an error mentioning `needle`.
+    fn both_reject(bytes: &[u8], needle: &str) {
+        let err = Graph::parse_snapshot_binary(bytes).unwrap_err();
+        assert!(
+            err.contains(needle),
+            "parser: expected `{needle}`, got: {err}"
+        );
+        let r = SnapReader::parse(bytes).expect("frame is valid");
+        let err = crate::GraphView::parse(&r).unwrap_err();
+        assert!(
+            err.contains(needle),
+            "view: expected `{needle}`, got: {err}"
+        );
+    }
+
+    /// Overwrite the `u32`/`u64` at `at` bytes into section `tag` of a valid
+    /// container and re-stamp the checksum, so only the representation
+    /// validators can reject the result.
+    fn patched(good: &[u8], tag: [u8; 4], at: usize, value: &[u8]) -> Vec<u8> {
+        let off = SnapReader::parse(good)
+            .unwrap()
+            .section_range(tag)
+            .unwrap()
+            .0
+            + at;
+        let mut bad = good[..good.len() - 8].to_vec();
+        bad[off..off + value.len()].copy_from_slice(value);
+        let sum = crate::snap::fnv1a64_words(&bad);
+        put_u64(&mut bad, sum);
+        bad
+    }
+
+    /// A container of hand-written graph sections (array payloads 8-aligned,
+    /// as the real writer declares them).
+    fn handmade(capacity: u64, edges: u64, active: u64, degrees: &[u32], adj: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let hdr = w.section_aligned(SEC_GRAPH_HEADER, 8);
+        put_u64(hdr, capacity);
+        put_u64(hdr, edges);
+        put_u64(w.section_aligned(SEC_GRAPH_ACTIVE, 8), active);
+        let deg = w.section_aligned(SEC_GRAPH_DEGREES, 8);
+        degrees.iter().for_each(|&d| put_u32(deg, d));
+        let lists = w.section_aligned(SEC_GRAPH_ADJACENCY, 8);
+        adj.iter().for_each(|&u| put_u32(lists, u));
+        w.finish()
     }
 
     #[test]
@@ -882,66 +799,29 @@ mod tests {
             .contains("checksum"));
         // Truncation is a framing error.
         assert!(Graph::parse_snapshot_binary(&good[..good.len() - 3]).is_err());
-        // Representation damage behind a *valid* frame is still rejected:
-        // rebuild a container whose adjacency is asymmetric.
-        let mut w = SnapWriter::new();
-        let hdr = w.section(SEC_GRAPH_HEADER);
-        put_u64(hdr, 2);
-        put_u64(hdr, 1);
-        put_u64(w.section(SEC_GRAPH_ACTIVE), 0b11);
-        let deg = w.section(SEC_GRAPH_DEGREES);
-        put_u32(deg, 1);
-        put_u32(deg, 0);
-        put_u32(w.section(SEC_GRAPH_ADJACENCY), 1); // 0 lists 1; 1 lists nothing
-        assert!(Graph::parse_snapshot_binary(&w.finish())
-            .unwrap_err()
-            .contains("asymmetric"));
-        // Self loop behind a valid frame.
-        let mut w = SnapWriter::new();
-        let hdr = w.section(SEC_GRAPH_HEADER);
-        put_u64(hdr, 1);
-        put_u64(hdr, 0);
-        put_u64(w.section(SEC_GRAPH_ACTIVE), 0b1);
-        put_u32(w.section(SEC_GRAPH_DEGREES), 1);
-        put_u32(w.section(SEC_GRAPH_ADJACENCY), 0);
-        assert!(Graph::parse_snapshot_binary(&w.finish())
-            .unwrap_err()
-            .contains("self loop"));
-    }
 
-    #[test]
-    fn snapshot_rejects_corruption() {
-        let mut g = Graph::new(4);
-        g.insert_edge(0, 1);
-        g.insert_edge(1, 2);
-        let good = g.render_snapshot();
-        // Asymmetric adjacency.
-        let bad = good.replace("adj 2 1", "adj 2 1 3");
-        assert!(Graph::parse_snapshot(&bad)
-            .unwrap_err()
-            .contains("asymmetric"));
-        // Edge-count mismatch.
-        let bad = good.replace("graph 4 2", "graph 4 3");
-        assert!(Graph::parse_snapshot(&bad).unwrap_err().contains("edges"));
-        // Truncation.
-        let cut = good.strip_suffix("graph-end\n").unwrap();
-        assert!(Graph::parse_snapshot(cut)
-            .unwrap_err()
-            .contains("truncated"));
-        // Self loop and duplicate neighbour.
-        let bad = good.replace("adj 0 1", "adj 0 0");
-        assert!(Graph::parse_snapshot(&bad)
-            .unwrap_err()
-            .contains("self loop"));
-        let bad = good.replace("adj 0 1", "adj 0 1 1");
-        assert!(Graph::parse_snapshot(&bad)
-            .unwrap_err()
-            .contains("duplicate"));
-        // Out-of-order adjacency lines.
-        let reordered = "graph 2 0\nadj 1\nadj 0\ngraph-end\n";
-        assert!(Graph::parse_snapshot(reordered)
-            .unwrap_err()
-            .contains("out of order"));
+        // Representation damage behind a *valid* frame. GADJ is
+        // [1 | 0 2 | 1 | -]: vertex 0 lists 1, vertex 1 lists 0 and 2.
+        // Edge-count mismatch: the header claims 3 edges.
+        both_reject(
+            &patched(&good, SEC_GRAPH_HEADER, 8, &3u64.to_le_bytes()),
+            "edges",
+        );
+        // Duplicate neighbour: vertex 1 lists 0 twice.
+        both_reject(
+            &patched(&good, SEC_GRAPH_ADJACENCY, 8, &0u32.to_le_bytes()),
+            "duplicate",
+        );
+        // Asymmetric adjacency: 0 lists 1; 1 lists nothing.
+        both_reject(&handmade(2, 1, 0b11, &[1, 0], &[1]), "asymmetric");
+        // Self loop.
+        both_reject(&handmade(1, 0, 0b1, &[1], &[0]), "self loop");
+        // A header whose capacity no section backs is rejected before it
+        // can size an allocation.
+        both_reject(
+            &patched(&good, SEC_GRAPH_HEADER, 0, &(1u64 << 60).to_le_bytes()),
+            "bitmap",
+        );
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl Snapshot {
     /// mapped reader's safety argument relies on
     /// (see [`pardfs_graph::mapped`]).
     pub fn publish_to(&self, path: &Path) -> Result<(), String> {
-        let mut w = SnapWriter::v2();
+        let mut w = SnapWriter::new();
         {
             let hdr = w.section_aligned(SEC_EPOCH_HEADER, 8);
             put_u64(hdr, self.epoch);
@@ -194,13 +194,6 @@ impl MappedEpoch {
         );
         {
             let r = SnapReader::parse(map.bytes())?;
-            if r.version() < 2 {
-                return Err(
-                    "mapped epoch files need a pardfs-snap v2 container (v1 has no alignment \
-                     guarantee); re-publish with Snapshot::publish_to"
-                        .to_string(),
-                );
-            }
             let mut hdr = Cursor::new(SEC_EPOCH_HEADER, r.section(SEC_EPOCH_HEADER)?);
             epoch = hdr.u64()?;
             fingerprint = hdr.u64()?;
@@ -217,6 +210,14 @@ impl MappedEpoch {
             if root != PSEUDO_ROOT {
                 return Err(format!(
                     "published epoch tree is rooted at {root}, expected the pseudo root 0"
+                ));
+            }
+            // The header's vertex count sizes every reader's iteration, so
+            // it must match the tree it describes (pseudo root excluded).
+            if view.num_vertices() != num_vertices.saturating_add(1) {
+                return Err(format!(
+                    "published epoch header claims {num_vertices} vertices, its tree holds {}",
+                    view.num_vertices() - 1
                 ));
             }
             roots = view.root_children().iter().map(|&c| c - 1).collect();

@@ -20,10 +20,10 @@
 //! byte layout and `docs/ARCHITECTURE.md` for where views sit in the
 //! serving data flow.
 
-use crate::index::{TreeIndex, SEC_TREE_HEADER, SEC_TREE_PARENTS};
+use crate::index::{read_tree_sections, TreeIndex};
 use crate::rooted::NO_VERTEX;
 use pardfs_graph::mapped::cast_u32s;
-use pardfs_graph::snap::{Cursor, SnapReader};
+use pardfs_graph::snap::SnapReader;
 use pardfs_graph::Vertex;
 
 /// A validated, borrowed view of a tree snapshot: the `THDR`/`TPAR`
@@ -41,7 +41,7 @@ use pardfs_graph::Vertex;
 /// t.set_parent(3, 1);
 /// let index = TreeIndex::build(&t);
 ///
-/// let bytes = index.render_snapshot_binary_v2();
+/// let bytes = index.render_snapshot_binary();
 /// let r = SnapReader::parse(&bytes).unwrap();
 /// let view = TreeView::parse(&r).unwrap();
 /// assert_eq!(view.root(), 0);
@@ -60,23 +60,11 @@ impl<'a> TreeView<'a> {
     /// Runs the same parent-array validation as the materializing parser
     /// (root self-parented and in range, parents in capacity, no
     /// parent-to-hole, full reachability from the root), exactly once.
-    /// Requires the `TPAR` payload to sit at a 4-byte-aligned address (v2
-    /// containers in an aligned buffer always do); misaligned buffers are
+    /// Requires the `TPAR` payload to sit at a 4-byte-aligned address
+    /// (containers in an aligned buffer always do); misaligned buffers are
     /// rejected with an error naming the alignment problem.
     pub fn parse(r: &SnapReader<'a>) -> Result<TreeView<'a>, String> {
-        let mut hdr = Cursor::new(SEC_TREE_HEADER, r.section(SEC_TREE_HEADER)?);
-        let root_raw = hdr.u64()?;
-        let capacity = usize::try_from(hdr.u64()?).map_err(|_| "tree capacity overflows")?;
-        hdr.finish()?;
-        let root = Vertex::try_from(root_raw)
-            .map_err(|_| format!("tree root {root_raw} overflows the vertex id space"))?;
-        let par_bytes = r.section(SEC_TREE_PARENTS)?;
-        if par_bytes.len() != 4 * capacity {
-            return Err(format!(
-                "parent section is {} bytes for capacity {capacity}",
-                par_bytes.len()
-            ));
-        }
+        let (root, par_bytes) = read_tree_sections(r)?;
         let parent = cast_u32s(par_bytes).map_err(|e| format!("TPAR section: {e}"))?;
         TreeIndex::validate_parent_array(parent, root)?;
         Ok(TreeView { root, parent })
@@ -163,6 +151,7 @@ impl<'a> TreeView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::SEC_TREE_PARENTS;
     use crate::rooted::RootedTree;
 
     fn sample() -> TreeIndex {
@@ -180,7 +169,7 @@ mod tests {
     #[test]
     fn view_agrees_with_the_materializing_parser() {
         let index = sample();
-        let bytes = index.render_snapshot_binary_v2();
+        let bytes = index.render_snapshot_binary();
         let r = SnapReader::parse(&bytes).unwrap();
         let view = TreeView::parse(&r).unwrap();
         assert_eq!(view.root(), index.root());
@@ -201,7 +190,7 @@ mod tests {
         }
         assert_eq!(view.root_children(), index.children(0).to_vec());
         index.structural_eq(&view.to_index()).unwrap();
-        // The v2 bytes also still parse through the copying path.
+        // The same bytes also parse through the copying path.
         let copied = TreeIndex::parse_snapshot_binary(&bytes).unwrap();
         index.structural_eq(&copied).unwrap();
     }
@@ -209,7 +198,7 @@ mod tests {
     #[test]
     fn view_rejects_what_the_parser_rejects() {
         let index = sample();
-        let good = index.render_snapshot_binary_v2();
+        let good = index.render_snapshot_binary();
         let r = SnapReader::parse(&good).unwrap();
         let (par_off, par_len) = r.section_range(SEC_TREE_PARENTS).unwrap();
         // Point each slot's parent at itself in turn (cycle / not-root

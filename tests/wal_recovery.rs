@@ -289,121 +289,6 @@ fn flipping_one_byte_of_an_interior_record_fails_recovery_naming_the_epoch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Back-compat pin: a durability directory whose checkpoint was written by a
-/// pre-binary deployment (legacy text format) must still recover, replay the
-/// WAL on top, and carry on — with the *next* checkpoint written in the
-/// current binary format. Recovery sniffs the format per file; nothing in the
-/// directory says which codec wrote it.
-#[test]
-fn legacy_text_checkpoints_recover_and_upgrade_to_binary() {
-    let (_, trace) = corpus_traces()
-        .into_iter()
-        .find(|(name, _)| name.starts_with("merge-split-storm"))
-        .expect("merge-split-storm trace is in the corpus");
-    let commits = 3;
-    let (dir, _, fingerprints) = seeded_wal_run(&trace, commits);
-
-    // Rewrite the attach-time checkpoint (epoch 0) as the legacy text
-    // rendering of the same state — exactly what a pre-binary deployment
-    // would have left on disk.
-    let ckpt_path = dir.join(format!("checkpoint-{:016x}.ckpt", 0));
-    let bytes = std::fs::read(&ckpt_path).expect("attach checkpoint exists");
-    let ckpt = pardfs::wal::Checkpoint::parse_any(&bytes).expect("own checkpoint parses");
-    std::fs::write(&ckpt_path, ckpt.render()).expect("downgrade checkpoint to text");
-
-    let builder = MaintainerBuilder::new(Backend::Parallel);
-    let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
-    let recovered = builder
-        .recover(&config)
-        .expect("legacy text checkpoint recovers");
-    assert_eq!(recovered.stats.recovered_epoch, commits as u64);
-    let mut server = recovered.server;
-    assert_eq!(
-        tree_fingerprint(server.maintainer()),
-        fingerprints[commits],
-        "recovery from a text checkpoint landed on the wrong tree"
-    );
-
-    // The next checkpoint this deployment takes is written in the current
-    // binary format — the directory upgrades codec by codec.
-    server
-        .force_checkpoint()
-        .expect("post-recovery checkpoint succeeds");
-    let new_ckpt = std::fs::read(dir.join(format!("checkpoint-{commits:016x}.ckpt")))
-        .expect("forced checkpoint exists");
-    assert!(
-        new_ckpt.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
-        "post-recovery checkpoint is not in the current (v2) binary format"
-    );
-
-    // And the recovered server keeps serving: drive the rest of the trace
-    // and land on the undisturbed trajectory.
-    let batches = update_batches(&trace);
-    let writer = server.write_handle();
-    for batch in &batches[commits..] {
-        writer.submit(batch.clone());
-        server.commit().expect("post-recovery commit");
-    }
-    let (_, outcome) = MaintainerBuilder::new(Backend::Parallel).run_scenario(&trace);
-    assert_eq!(
-        tree_fingerprint(server.maintainer()),
-        outcome.tree_fingerprint,
-        "trajectory after text-checkpoint recovery diverged"
-    );
-    drop(writer);
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Back-compat pin for the *first* binary generation: a durability directory
-/// whose checkpoint is a `pardfs-snap` **v1** container (what PR 8
-/// deployments wrote) must keep recovering now that new checkpoints are v2 —
-/// and, as with the text pin above, upgrade to v2 at the next checkpoint.
-#[test]
-fn v1_binary_checkpoints_recover_and_upgrade_to_v2() {
-    let (_, trace) = corpus_traces()
-        .into_iter()
-        .find(|(name, _)| name.starts_with("merge-split-storm"))
-        .expect("merge-split-storm trace is in the corpus");
-    let commits = 3;
-    let (dir, _, fingerprints) = seeded_wal_run(&trace, commits);
-
-    // Rewrite the attach-time checkpoint as the v1 rendering of the same
-    // state — byte-for-byte what a PR 8 deployment left on disk.
-    let ckpt_path = dir.join(format!("checkpoint-{:016x}.ckpt", 0));
-    let bytes = std::fs::read(&ckpt_path).expect("attach checkpoint exists");
-    assert!(
-        bytes.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
-        "freshly written checkpoints are v2"
-    );
-    let ckpt = pardfs::wal::Checkpoint::parse_any(&bytes).expect("own checkpoint parses");
-    std::fs::write(&ckpt_path, ckpt.render_binary_v1()).expect("downgrade checkpoint to v1");
-
-    let builder = MaintainerBuilder::new(Backend::Parallel);
-    let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
-    let recovered = builder
-        .recover(&config)
-        .expect("v1 binary checkpoint recovers");
-    assert_eq!(recovered.stats.recovered_epoch, commits as u64);
-    let mut server = recovered.server;
-    assert_eq!(
-        tree_fingerprint(server.maintainer()),
-        fingerprints[commits],
-        "recovery from a v1 checkpoint landed on the wrong tree"
-    );
-    server
-        .force_checkpoint()
-        .expect("post-recovery checkpoint succeeds");
-    let new_ckpt = std::fs::read(dir.join(format!("checkpoint-{commits:016x}.ckpt")))
-        .expect("forced checkpoint exists");
-    assert!(
-        new_ckpt.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
-        "post-recovery checkpoint did not upgrade to v2"
-    );
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Nightly deep sweep: one trace, every backend, killed at **every** batch
 /// boundary (including before the first and after the last commit). Set
 /// `WAL_SWEEP_DIR` to keep the roll-up as an artifact.

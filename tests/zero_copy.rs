@@ -1,4 +1,4 @@
-//! Pins the zero-copy contract of the v2 read path.
+//! Pins the zero-copy contract of the snapshot read path.
 //!
 //! `pardfs::graph::snap::copied_array_bytes()` is a process-wide counter
 //! charged by the materializing array reader (`Cursor::u32s`) — every byte
@@ -34,11 +34,11 @@ fn view_backed_reads_copy_zero_array_bytes() {
         }
     }
     let ckpt = Checkpoint::capture(11, dfs.as_ref());
-    let v2 = ckpt.render_binary();
+    let bytes = ckpt.render_binary();
 
     // --- View path: validate once, then borrow. Zero array bytes copied. ---
     let before = copied_array_bytes();
-    let view = CheckpointView::parse(&v2).expect("v2 checkpoint validates");
+    let view = CheckpointView::parse(&bytes).expect("checkpoint validates");
     let graph = view.graph();
     let tree = view.tree();
     let mut degree_sum = 0usize;
@@ -82,7 +82,7 @@ fn view_backed_reads_copy_zero_array_bytes() {
     // charge at least the three u32 array payloads (adjacency, degrees,
     // parents). This is what makes the zero above meaningful. ---
     let before = copied_array_bytes();
-    let loaded = Checkpoint::parse_any(&v2).expect("materializing parse");
+    let loaded = Checkpoint::parse(&bytes).expect("materializing parse");
     let floor = 4 * (2 * loaded.graph.num_edges() + 2 * loaded.graph.capacity()) as u64;
     assert!(
         copied_array_bytes() >= before + floor,
